@@ -35,6 +35,21 @@ pub const WELL_KNOWN_TYPEDEFS: &[&str] = &[
     "uintptr_t",
 ];
 
+/// Deepest nesting of statements, blocks and expressions the parser
+/// accepts.
+///
+/// Recursive descent spends stack per nesting level, and so do the
+/// recursive AST walks after it (DFS serialization, the ComPar analysis,
+/// dropping the tree). Unbounded, a few KB of `((((…` would overflow a
+/// 2 MiB worker stack and abort the process; past this depth parsing
+/// fails with a [`ParseError`] instead. Every nested statement,
+/// assignment-level expression and unary operand is one level, and so is
+/// every link of a left-deep chain built in a loop (`a + b + …`,
+/// `a[i][j]…`, `f()()`, `a, b, …`), because it nests the AST as deeply.
+/// The deepest generated corpus snippet uses 17 levels; at 64, even an
+/// unoptimized build parses the deepest accepted input within 2 MiB.
+pub const MAX_NESTING: usize = 64;
+
 /// Parse failure with source position.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParseError {
@@ -86,11 +101,13 @@ pub fn parse_snippet(src: &str) -> Result<Vec<Stmt>, ParseError> {
 struct Parser {
     toks: Vec<SpannedToken>,
     pos: usize,
+    /// Current nesting level, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
     fn new(toks: Vec<SpannedToken>) -> Self {
-        Self { toks, pos: 0 }
+        Self { toks, pos: 0, depth: 0 }
     }
 
     fn at_end(&self) -> bool {
@@ -118,6 +135,27 @@ impl Parser {
             Some(t) => ParseError { msg: msg.into(), line: t.line, col: t.col },
             None => ParseError { msg: msg.into(), line: 0, col: 0 },
         }
+    }
+
+    /// Enters one nesting level; fails past [`MAX_NESTING`]. A failed
+    /// parse is never resumed, so error paths need not restore `depth`.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level down.
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.descend()?;
+        let out = parse(self)?;
+        self.depth -= 1;
+        Ok(out)
     }
 
     fn eat_punct(&mut self, p: Punct) -> bool {
@@ -418,6 +456,10 @@ impl Parser {
     }
 
     fn statement(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::statement_body)
+    }
+
+    fn statement_body(&mut self) -> Result<Stmt, ParseError> {
         match self.peek() {
             Some(Token::OmpPragma(_)) => {
                 let raw = match self.bump() {
@@ -536,15 +578,22 @@ impl Parser {
     // ---- expressions ------------------------------------------------------
 
     fn expression(&mut self) -> Result<Expr, ParseError> {
+        let depth = self.depth;
         let mut e = self.assignment_expr()?;
         while self.eat_punct(Punct::Comma) {
+            self.descend()?;
             let r = self.assignment_expr()?;
             e = Expr::Comma(Box::new(e), Box::new(r));
         }
+        self.depth = depth;
         Ok(e)
     }
 
     fn assignment_expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::assignment_body)
+    }
+
+    fn assignment_body(&mut self) -> Result<Expr, ParseError> {
         let lhs = self.ternary_expr()?;
         let op = match self.peek() {
             Some(Token::Punct(Punct::Eq)) => AssignOp::Assign,
@@ -579,6 +628,7 @@ impl Parser {
 
     /// Precedence-climbing binary expression parser.
     fn binary_expr(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.unary_expr()?;
         loop {
             let (op, prec) = match self.peek() {
@@ -606,13 +656,19 @@ impl Parser {
                 break;
             }
             self.bump();
+            self.descend()?;
             let rhs = self.binary_expr(prec + 1)?;
             lhs = Expr::Binary { op, l: Box::new(lhs), r: Box::new(rhs) };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::unary_body)
+    }
+
+    fn unary_body(&mut self) -> Result<Expr, ParseError> {
         match self.peek() {
             Some(Token::Punct(Punct::Minus)) => {
                 self.bump();
@@ -677,6 +733,7 @@ impl Parser {
     }
 
     fn postfix_expr(&mut self) -> Result<Expr, ParseError> {
+        let depth = self.depth;
         let mut e = self.primary_expr()?;
         loop {
             match self.peek() {
@@ -726,7 +783,10 @@ impl Parser {
                 }
                 _ => break,
             }
+            // Each postfix link nests the chain one level deeper.
+            self.descend()?;
         }
+        self.depth = depth;
         Ok(e)
     }
 

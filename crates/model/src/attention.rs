@@ -3,30 +3,36 @@
 //!
 //! Activations are `[batch*seq, d_model]` tensors; per-sequence valid
 //! lengths implement the padding mask: every query row attends only to
-//! the first `valid[b]` key positions of its sequence. Rows beyond the
-//! valid length still flow through (their queries exist) but nothing
-//! downstream reads them — CLS pooling uses row 0 of each sequence.
+//! the first `valid[b]` key positions of its sequence. Every row is a key
+//! and a value, but [`MultiHeadSelfAttention::forward_residual`] takes a
+//! `q_rows` argument: only the `q_rows` leading rows of each sequence run
+//! as queries, and the output holds just those rows. The full graph
+//! passes `q_rows = seq`; the classifier's final block passes `1`,
+//! because CLS pooling reads row 0 of each sequence and nothing else (see
+//! `Encoder::forward_cls`).
 //!
 //! ## Execution model
 //!
 //! Every forward runs in three stages:
 //!
 //! 1. **Projection.** The Q/K/V projections run as `[batch·seq ×
-//!    d_model]` GEMMs regardless of batch size, which is where batching
-//!    pays. In training (and with the `PRAGFORMER_ATTN=unfused` kill
-//!    switch thrown) they are three separate GEMMs through the
-//!    [`Linear`] layers; at inference the fast path concatenates
-//!    `wq|wk|wv` column-wise into one `[d_model, 3·d_model]` matrix
-//!    (the private `FusedQkv` cache) — pre-packed panels on the f32
-//!    tiers, an int8 copy
-//!    on the quantized tier — so **one** GEMM produces `Q|K|V` side by
-//!    side. Because every GEMM accumulates each output column in one
-//!    ascending-`k` chain and quantization scales are per column,
-//!    concatenating columns changes no per-column arithmetic: fused and
-//!    unfused projections are **bitwise identical** on every kernel
-//!    tier (pinned by `fused_attention_proptests`).
-//! 2. **Score/context tiles.** The per-`(batch, head)` `[seq, seq]`
-//!    score and `[seq, d_head]` context tiles are inherently
+//!    d_model]` GEMMs over every row regardless of batch size or
+//!    `q_rows`, which is where batching pays. In training (and with the
+//!    `PRAGFORMER_ATTN=unfused` kill switch thrown) they are three
+//!    separate GEMMs through the [`Linear`] layers; at inference the fast
+//!    path concatenates `wq|wk|wv` column-wise into one `[d_model,
+//!    3·d_model]` matrix (the private `FusedQkv` cache) — pre-packed
+//!    panels on the f32 tiers, an int8 copy on the quantized tier — so
+//!    **one** GEMM produces `Q|K|V` side by side. Because every GEMM
+//!    accumulates each output column in one ascending-`k` chain and
+//!    quantization scales are per column, concatenating columns changes
+//!    no per-column arithmetic: fused and unfused projections are
+//!    **bitwise identical** on every kernel tier (pinned by
+//!    `fused_attention_proptests`).
+//! 2. **Score/context tiles.** Each `(batch, head)` pair gets a
+//!    `[q_rows, seq]` score tile and a `[q_rows, d_head]` context tile —
+//!    `[seq, seq]` and `[seq, d_head]` on the full graph, one score row
+//!    and one context row at the CLS rows. The tiles are inherently
 //!    block-diagonal, so they are dispatched across the persistent
 //!    thread pool ([`pragformer_tensor::parallel`]) — each pair's small
 //!    GEMMs run inline on one worker (nested parallel calls don't
@@ -38,17 +44,22 @@
 //!    single-pass `·scale` + masked softmax
 //!    ([`ops::softmax_rows_scaled_uniform`]); the legacy path keeps the
 //!    two-pass `map_in_place` + [`ops::softmax_rows_uniform`] — also
-//!    bitwise identical, per tier.
+//!    bitwise identical, per tier. GEMM, softmax and quantization rows
+//!    are independent, so a `q_rows < seq` tile holds bitwise the
+//!    leading rows of the full one.
 //! 3. **Merge.** Context tiles scatter-add into an **arena-backed**
-//!    `[batch·seq, d_model]` output in a fixed serial order, so results
-//!    stay bitwise deterministic for any batch size and worker split.
+//!    `[batch·q_rows, d_model]` output in a fixed serial order, so
+//!    results stay bitwise deterministic for any batch size and worker
+//!    split. The out-projection and residual then run on those rows
+//!    only.
 //!
 //! ## Mode semantics (Train vs Infer)
 //!
-//! The `train` flag picks the mode. A **Train** forward stores the
-//! backward cache (projected Q/K/V plus the per-`(batch, head)`
-//! probability tiles, which [`MultiHeadSelfAttention::last_probs`]
-//! exposes to explainability tools) and always takes the unfused path —
+//! The `train` flag picks the mode. A **Train** forward needs every
+//! query row (`q_rows = seq`), stores the backward cache (projected
+//! Q/K/V plus the per-`(batch, head)` probability tiles, which
+//! [`MultiHeadSelfAttention::last_probs`] exposes to explainability
+//! tools) and always takes the unfused path —
 //! [`MultiHeadSelfAttention::backward`] differentiates the split
 //! projections. An **Infer** forward is cache-free: it neither clones
 //! into nor retains the backward cache (a previous train cache is
@@ -123,6 +134,18 @@ fn record_fused_hit() {
         )
     })
     .inc();
+}
+
+/// The `rows` leading rows of every `seq`-row sequence of `x`
+/// (`[batch*seq, d]` → `[batch*rows, d]`), on arena capacity — the CLS
+/// gather when `rows == 1`.
+pub(crate) fn leading_rows(x: &Tensor, seq: usize, rows: usize) -> Tensor {
+    let (batch, d) = (x.rows() / seq, x.cols());
+    let mut data = scratch::take(batch * rows * d);
+    for b in 0..batch {
+        data.extend_from_slice(&x.data()[b * seq * d..(b * seq + rows) * d]);
+    }
+    Tensor::from_vec(&[batch * rows, d], data)
 }
 
 /// Multi-head self-attention block (projections + scaled dot-product +
@@ -307,50 +330,48 @@ impl MultiHeadSelfAttention {
         self.fused.is_some()
     }
 
-    /// Extracts a `[seq, d_head]` tile of sequence `b` starting at
-    /// column `col0` from a `[batch*seq, *]` tensor — head `h` of a
-    /// split projection sits at `col0 = h·d_head`; the fused layout
-    /// adds a section offset (`0` / `d_model` / `2·d_model` for
-    /// Q/K/V). The tile rides on [`scratch`] capacity (no zero fill);
-    /// the forward pass gives it back once consumed, so steady-state
-    /// tiles allocate nothing.
-    fn head_tile(&self, x: &Tensor, b: usize, col0: usize, seq: usize) -> Tensor {
+    /// Extracts a `[rows, d_head]` tile — `rows` consecutive rows from
+    /// `row0`, starting at column `col0` — from a `[*, *]` activation
+    /// tensor. Head `h` of a split projection sits at `col0 = h·d_head`;
+    /// the fused layout adds a section offset (`0` / `d_model` /
+    /// `2·d_model` for Q/K/V). The tile rides on [`scratch`] capacity (no
+    /// zero fill); the forward pass gives it back once consumed, so
+    /// steady-state tiles allocate nothing.
+    fn head_tile(&self, x: &Tensor, row0: usize, col0: usize, rows: usize) -> Tensor {
         let dh = self.d_model / self.n_heads;
-        let mut data = scratch::take(seq * dh);
-        for t in 0..seq {
-            let row = x.row(b * seq + t);
-            data.extend_from_slice(&row[col0..col0 + dh]);
+        let mut data = scratch::take(rows * dh);
+        for r in row0..row0 + rows {
+            data.extend_from_slice(&x.row(r)[col0..col0 + dh]);
         }
-        Tensor::from_vec(&[seq, dh], data)
+        Tensor::from_vec(&[rows, dh], data)
     }
 
-    /// Like [`Self::head_tile`] but transposed: `[d_head, seq]`. Score
+    /// Like [`Self::head_tile`] but transposed: `[d_head, rows]`. Score
     /// GEMMs (`Q·Kᵀ` and `dCtx·Vᵀ`) consume the transposed tile so both
     /// operands stream contiguously through the GEMM inner loop.
-    fn head_tile_t(&self, x: &Tensor, b: usize, col0: usize, seq: usize) -> Tensor {
+    fn head_tile_t(&self, x: &Tensor, row0: usize, col0: usize, rows: usize) -> Tensor {
         let dh = self.d_model / self.n_heads;
-        let mut data = scratch::take(dh * seq);
+        let mut data = scratch::take(dh * rows);
         for d in 0..dh {
-            for t in 0..seq {
-                data.push(x.row(b * seq + t)[col0 + d]);
+            for r in row0..row0 + rows {
+                data.push(x.row(r)[col0 + d]);
             }
         }
-        Tensor::from_vec(&[dh, seq], data)
+        Tensor::from_vec(&[dh, rows], data)
     }
 
-    /// Adds a `[seq, d_head]` tile back into head `h` of sequence `b`.
-    fn add_head_tile(&self, x: &mut Tensor, tile: &Tensor, b: usize, h: usize, seq: usize) {
+    /// Adds a `[rows, d_head]` tile back into head `h`, rows `row0..`.
+    fn add_head_tile(&self, x: &mut Tensor, tile: &Tensor, row0: usize, h: usize) {
         let dh = self.d_model / self.n_heads;
-        for t in 0..seq {
-            let src = tile.row(t);
-            let dst = &mut x.row_mut(b * seq + t)[h * dh..(h + 1) * dh];
-            for (d, s) in dst.iter_mut().zip(src) {
+        for t in 0..tile.rows() {
+            let dst = &mut x.row_mut(row0 + t)[h * dh..(h + 1) * dh];
+            for (d, s) in dst.iter_mut().zip(tile.row(t)) {
                 *d += *s;
             }
         }
     }
 
-    /// Forward pass.
+    /// Forward pass over the full graph (every row is a query).
     ///
     /// `x` is `[batch*seq, d_model]`; `valid[b]` is the non-pad prefix of
     /// sequence `b` (≥ 1, counting CLS). `train` picks the mode (see the
@@ -364,14 +385,21 @@ impl MultiHeadSelfAttention {
         valid: &[usize],
         train: bool,
     ) -> Tensor {
-        let context = self.context_from(x, batch, seq, valid, train);
+        let context = self.context_from(x, batch, seq, seq, valid, train);
         let y = self.wo.forward(&context, train);
         scratch::give(context.into_data());
         y
     }
 
     /// Forward pass fused with the residual connection: returns
-    /// `x + MHSA(x)`.
+    /// `x + MHSA(x)` at the `q_rows` leading rows of each sequence,
+    /// `[batch*q_rows, d_model]`.
+    ///
+    /// `q_rows` (`1..=seq`) is how many leading rows of each sequence act
+    /// as queries: every row is still projected and attended over as a
+    /// key and value, but only the query rows get a context row, an
+    /// out-projection and a residual — `seq` for the full graph, `1` for
+    /// the CLS-only final block. A train forward needs every query row.
     ///
     /// On the int8 tier the output projection runs the fused
     /// dequantize+bias+residual epilogue, so the residual add costs no
@@ -382,19 +410,25 @@ impl MultiHeadSelfAttention {
         x: &Tensor,
         batch: usize,
         seq: usize,
+        q_rows: usize,
         valid: &[usize],
         train: bool,
     ) -> Tensor {
-        let context = self.context_from(x, batch, seq, valid, train);
+        let context = self.context_from(x, batch, seq, q_rows, valid, train);
+        let gathered = (q_rows < seq).then(|| leading_rows(x, seq, q_rows));
+        let res = gathered.as_ref().unwrap_or(x);
         let out = if self.wo.is_quantized() {
             let qc = QuantizedActivations::quantize(&context);
-            let out = self.wo.forward_quant_residual(&qc, x);
+            let out = self.wo.forward_quant_residual(&qc, res);
             qc.recycle();
             out
         } else {
-            x.add(&self.wo.forward(&context, train))
+            res.add(&self.wo.forward(&context, train))
         };
         scratch::give(context.into_data());
+        if let Some(g) = gathered {
+            scratch::give(g.into_data());
+        }
         out
     }
 
@@ -444,8 +478,9 @@ impl MultiHeadSelfAttention {
         }
     }
 
-    /// Projects Q/K/V, runs the masked score/context tiles, and returns
-    /// the merged `[batch*seq, d_model]` context (pre output-projection)
+    /// Projects Q/K/V, runs the masked score/context tiles for the
+    /// `q_rows` leading query rows of each sequence, and returns the
+    /// merged `[batch*q_rows, d_model]` context (pre output-projection)
     /// on arena capacity. Train forwards store the backward cache;
     /// inference forwards recycle every intermediate (see the
     /// [module docs](self)).
@@ -454,18 +489,21 @@ impl MultiHeadSelfAttention {
         x: &Tensor,
         batch: usize,
         seq: usize,
+        q_rows: usize,
         valid: &[usize],
         train: bool,
     ) -> Tensor {
         assert_eq!(x.rows(), batch * seq, "activation rows");
         assert_eq!(valid.len(), batch, "valid lengths");
+        assert!((1..=seq).contains(&q_rows), "q_rows {q_rows} outside 1..={seq}");
+        assert!(!train || q_rows == seq, "train forwards keep every query row for backward");
         let d = self.d_model;
         let proj = self.project(x, train);
         let fused_path = matches!(proj, Proj::Fused(_));
         let dh = d / self.n_heads;
         let scale = 1.0 / (dh as f32).sqrt();
         let mut context =
-            Tensor::from_vec(&[batch * seq, d], scratch::take_zeroed(batch * seq * d));
+            Tensor::from_vec(&[batch * q_rows, d], scratch::take_zeroed(batch * q_rows * d));
         // Score/context tiles per (batch, head) pair, computed across the
         // pool. Each pair is independent; the merge below runs serially in
         // a fixed order so results don't depend on scheduling.
@@ -473,21 +511,18 @@ impl MultiHeadSelfAttention {
             let (b, h) = (bh / self.n_heads, bh % self.n_heads);
             let vb = valid[b].clamp(1, seq);
             record_tile_dispatch(fused_path);
-            let (qt, ktt, vt) = match &proj {
-                Proj::Fused(qkv) => (
-                    self.head_tile(qkv, b, h * dh, seq),
-                    self.head_tile_t(qkv, b, d + h * dh, seq),
-                    self.head_tile(qkv, b, 2 * d + h * dh, seq),
-                ),
-                Proj::Split(q, k, v) => (
-                    self.head_tile(q, b, h * dh, seq),
-                    self.head_tile_t(k, b, h * dh, seq),
-                    self.head_tile(v, b, h * dh, seq),
-                ),
+            let (q, k, v, col0) = match &proj {
+                Proj::Fused(qkv) => (qkv, qkv, qkv, [0, d, 2 * d]),
+                Proj::Split(q, k, v) => (q, k, v, [0, 0, 0]),
             };
+            let qt = self.head_tile(q, b * seq, col0[0] + h * dh, q_rows);
+            let ktt = self.head_tile_t(k, b * seq, col0[1] + h * dh, seq);
+            let vt = self.head_tile(v, b * seq, col0[2] + h * dh, seq);
             // The per-call K/V tiles are too transient to pre-pack:
             // matmul_unpacked runs the simple kernel (bitwise identical
-            // to the packed path) with zero pack builds per call.
+            // to the packed path) with zero pack builds per call. Its
+            // rows are independent, so a `[q_rows, seq]` score tile holds
+            // bitwise the leading rows of the full `[seq, seq]` one.
             let mut scores = ops::matmul_unpacked(&qt, &ktt);
             if fused_path {
                 // Single-pass masked epilogue — bitwise identical to the
@@ -511,7 +546,7 @@ impl MultiHeadSelfAttention {
         let mut probs = Vec::with_capacity(if train { batch * self.n_heads } else { 0 });
         for (bh, (scores, ctx)) in tiles.into_iter().enumerate() {
             let (b, h) = (bh / self.n_heads, bh % self.n_heads);
-            self.add_head_tile(&mut context, &ctx, b, h, seq);
+            self.add_head_tile(&mut context, &ctx, b * q_rows, h);
             scratch::give(ctx.into_data());
             if let Some(p) = scores {
                 probs.push(p);
@@ -554,10 +589,10 @@ impl MultiHeadSelfAttention {
         let tiles = par_map_indexed(batch * self.n_heads, 2, |bh| {
             let (b, h) = (bh / self.n_heads, bh % self.n_heads);
             let p = &probs[bh];
-            let dctx = self.head_tile(&dcontext, b, h * dh, seq);
-            let qt = self.head_tile(&q, b, h * dh, seq);
-            let kt = self.head_tile(&k, b, h * dh, seq);
-            let vtt = self.head_tile_t(&v, b, h * dh, seq);
+            let dctx = self.head_tile(&dcontext, b * seq, h * dh, seq);
+            let qt = self.head_tile(&q, b * seq, h * dh, seq);
+            let kt = self.head_tile(&k, b * seq, h * dh, seq);
+            let vtt = self.head_tile_t(&v, b * seq, h * dh, seq);
             // dV = Pᵀ · dCtx
             let dvt = ops::matmul_tn(p, &dctx);
             // dP = dCtx · Vᵀ
@@ -572,9 +607,9 @@ impl MultiHeadSelfAttention {
         });
         for (bh, (dqt, dkt, dvt)) in tiles.into_iter().enumerate() {
             let (b, h) = (bh / self.n_heads, bh % self.n_heads);
-            self.add_head_tile(&mut dq, &dqt, b, h, seq);
-            self.add_head_tile(&mut dk, &dkt, b, h, seq);
-            self.add_head_tile(&mut dv, &dvt, b, h, seq);
+            self.add_head_tile(&mut dq, &dqt, b * seq, h);
+            self.add_head_tile(&mut dk, &dkt, b * seq, h);
+            self.add_head_tile(&mut dv, &dvt, b * seq, h);
         }
         let mut dx = self.wq.backward(&dq);
         dx.add_assign(&self.wk.backward(&dk));
@@ -705,6 +740,28 @@ mod tests {
             }
             attn.configure_inference_caches(false, false, false);
             assert!(!attn.fused_active());
+        }
+    }
+
+    #[test]
+    fn leading_query_rows_are_bitwise_the_full_rows() {
+        // Query rows are independent: running only the first `q_rows`
+        // queries of each sequence reproduces those rows of the full
+        // forward bit for bit, in every cache regime.
+        let (d_model, n_heads, batch, seq) = (12usize, 3usize, 3usize, 6usize);
+        let mut r = rng();
+        let mut attn = MultiHeadSelfAttention::new("a", d_model, n_heads, &mut r);
+        let x = Tensor::randn(&[batch * seq, d_model], 1.0, &mut r);
+        let valid = [6usize, 1, 4];
+        for (int8, packed, fused) in
+            [(false, false, false), (false, true, true), (true, false, false), (true, false, true)]
+        {
+            attn.configure_inference_caches(int8, packed, fused);
+            let full = attn.forward_residual(&x, batch, seq, seq, &valid, false);
+            for q_rows in [1, 2] {
+                let part = attn.forward_residual(&x, batch, seq, q_rows, &valid, false);
+                assert_eq!(part, leading_rows(&full, seq, q_rows), "q_rows={q_rows} int8={int8}");
+            }
         }
     }
 

@@ -1,6 +1,6 @@
 //! Transformer encoder: embeddings + stacked blocks (post-LN, GELU FFN).
 
-use crate::attention::MultiHeadSelfAttention;
+use crate::attention::{leading_rows, MultiHeadSelfAttention};
 use crate::config::ModelConfig;
 use pragformer_tensor::init::SeededRng;
 use pragformer_tensor::kernel::quantize::QuantizedActivations;
@@ -37,7 +37,13 @@ impl EncoderBlock {
         }
     }
 
-    /// Forward over `[batch*seq, d_model]` activations.
+    /// Forward over `[batch*seq, d_model]` activations, returning the
+    /// block output at the `q_rows` leading rows of each sequence,
+    /// `[batch*q_rows, d_model]`. Attention reads every row as a key and
+    /// value, but only those rows run as queries and only they go
+    /// through the out-projection, LayerNorms and FFN; every sub-layer is
+    /// row-local, so they hold bitwise the rows a full (`q_rows == seq`)
+    /// forward would.
     ///
     /// On the int8 tier the whole block runs fused: the attention output
     /// projection folds its residual add into the dequantize epilogue,
@@ -55,10 +61,11 @@ impl EncoderBlock {
         x: &Tensor,
         batch: usize,
         seq: usize,
+        q_rows: usize,
         valid: &[usize],
         train: bool,
     ) -> Tensor {
-        let res1 = self.attn.forward_residual(x, batch, seq, valid, train);
+        let res1 = self.attn.forward_residual(x, batch, seq, q_rows, valid, train);
         let h = self.ln1.forward(&res1, train);
         if self.ff1.is_quantized() {
             let qh = QuantizedActivations::quantize(&h);
@@ -111,6 +118,10 @@ impl EncoderBlock {
 
 /// Token + position embeddings, embedding LayerNorm/dropout, and the block
 /// stack.
+///
+/// Two forwards share one code path: [`Encoder::forward_seq`] returns
+/// every row (training, MLM), [`Encoder::forward_cls`] runs the final
+/// block at the CLS rows only (classifier inference).
 pub struct Encoder {
     tok: Embedding,
     pos: Embedding,
@@ -158,12 +169,43 @@ impl Encoder {
     /// valid prefix are **bitwise identical** for every padded length
     /// `seq ≥ valid[b]` — the property `Advisor::advise_batch` exploits to
     /// run short snippets through short (cheaper) forwards without
-    /// changing any probability. Returns `[batch*seq, d_model]`.
+    /// changing any probability. Returns `[batch*seq, d_model]`: this is
+    /// the full-row graph (training, MLM, and the oracle the CLS-only
+    /// [`Encoder::forward_cls`] is tested against).
     pub fn forward_seq(
         &mut self,
         ids: &[usize],
         valid: &[usize],
         seq: usize,
+        train: bool,
+    ) -> Tensor {
+        self.run(ids, valid, seq, seq, train)
+    }
+
+    /// Eval forward that returns only the `[batch, d_model]` CLS rows
+    /// (row `b·seq` of each sequence) — bitwise those rows of
+    /// [`Encoder::forward_seq`]`(ids, valid, seq, false)`.
+    ///
+    /// Blocks `0..n-1` run on every row, since their outputs are the
+    /// keys and values of the next block. The final block's output is
+    /// read at the CLS rows only, so it runs them as its sole queries:
+    /// it still projects K|V for every row, but builds one `[1, seq]`
+    /// masked score row and one context row per (sequence, head), and
+    /// runs the out-projection, LayerNorms and FFN on the `[batch,
+    /// d_model]` CLS gather (see [`EncoderBlock::forward`]).
+    pub fn forward_cls(&mut self, ids: &[usize], valid: &[usize], seq: usize) -> Tensor {
+        self.run(ids, valid, seq, 1, false)
+    }
+
+    /// Embeds `ids` and runs the block stack, the final block at the
+    /// `last_rows` leading query rows of each sequence; returns
+    /// `[batch*last_rows, d_model]`.
+    fn run(
+        &mut self,
+        ids: &[usize],
+        valid: &[usize],
+        seq: usize,
+        last_rows: usize,
         train: bool,
     ) -> Tensor {
         assert!(
@@ -183,8 +225,13 @@ impl Encoder {
         // and therefore the whole training trajectory — is independent of
         // the padded length (the bucketed-training determinism contract).
         let mut h = self.drop.forward_rows(&normed, train, seq, valid);
-        for blk in &mut self.blocks {
-            let next = blk.forward(&h, batch, seq, valid, train);
+        if self.blocks.is_empty() && last_rows < seq {
+            return leading_rows(&h, seq, last_rows);
+        }
+        let last = self.blocks.len().saturating_sub(1);
+        for (l, blk) in self.blocks.iter_mut().enumerate() {
+            let q_rows = if l == last { last_rows } else { seq };
+            let next = blk.forward(&h, batch, seq, q_rows, valid, train);
             // The consumed activation buffer goes back to the scratch
             // arena; the next batch's embedding gather (and the per-head
             // attention tiles) draw from it instead of the allocator.

@@ -15,6 +15,7 @@
 //! which is what lets heads, caches and serving layers treat it as a pure
 //! function of the encoded id sequence.
 
+use crate::attention::leading_rows;
 use crate::config::ModelConfig;
 use crate::encoder::Encoder;
 use pragformer_tensor::init::SeededRng;
@@ -28,11 +29,11 @@ use pragformer_tensor::Tensor;
 
 /// The shared lower stack: embeddings + encoder blocks + CLS pooling.
 ///
-/// `forward_cls` runs the whole encoder and gathers row `b·seq` of each
-/// sequence (the CLS position) into a `[batch, d_model]` matrix;
-/// `backward_cls` scatters CLS gradients back and completes the encoder
-/// backward pass. One trunk forward feeds any number of
-/// [`ClassifierHead`]s.
+/// `forward_cls` returns row `b·seq` of each sequence (the CLS position)
+/// as a `[batch, d_model]` matrix — eval forwards compute nothing else in
+/// the final encoder block; `backward_cls` scatters CLS gradients back
+/// and completes the encoder backward pass. One trunk forward feeds any
+/// number of [`ClassifierHead`]s.
 pub struct Trunk {
     encoder: Encoder,
     cache: Option<(usize, usize)>,
@@ -176,13 +177,21 @@ impl Trunk {
     /// and every padded length `seq ≥ valid[b]` (see
     /// [`Encoder::forward_seq`]) — the property every head, cache and
     /// serving layer above this trunk relies on. Eval forwards exploit
-    /// the same property from the inside: the padded length is clamped
-    /// to the batch's longest valid prefix before the encoder runs, so
-    /// rows the attention mask would discard are never embedded,
-    /// projected, or normalized at all. The clamp is output-invisible
-    /// by exactly the contract above (pinned by the padding-invariance
-    /// proptests); training keeps the caller's padding because the
-    /// backward cache records the caller-visible geometry.
+    /// the same property from the inside, twice:
+    ///
+    /// - the padded length is clamped to the batch's longest valid
+    ///   prefix before the encoder runs, so rows the attention mask
+    ///   would discard are never embedded, projected, or normalized;
+    /// - the final encoder block runs at the CLS rows only
+    ///   ([`Encoder::forward_cls`]): only they leave it, so its other
+    ///   query rows, score rows, out-projection, LayerNorms and FFN rows
+    ///   are never computed.
+    ///
+    /// Both are output-invisible by the row-determinism contract above
+    /// (pinned by the padding-invariance and `cls_only_proptests`
+    /// proptests). An eval forward keeps no state, so it leaves nothing
+    /// for [`Trunk::backward_cls`]. Training runs the full-row graph at
+    /// the caller's padding and records the geometry backward needs.
     pub fn forward_cls(
         &mut self,
         ids: &[usize],
@@ -199,44 +208,26 @@ impl Trunk {
         // idempotent and the copies are invalidated by any parameter
         // mutation, so this stays correct across train/eval
         // interleavings and checkpoint restores.
+        let batch = ids.len() / seq.max(1);
         if train {
             self.encoder.configure_inference_caches(false, false, false);
-        } else {
-            let (int8, packed, fused) = self.inference_wants();
-            self.encoder.configure_inference_caches(int8, packed, fused);
+            let h = self.encoder.forward_seq(ids, valid, seq, true);
+            self.cache = Some((batch, seq));
+            return leading_rows(&h, seq, 1);
         }
-        let batch = ids.len() / seq.max(1);
+        let (int8, packed, fused) = self.inference_wants();
+        self.encoder.configure_inference_caches(int8, packed, fused);
+        self.cache = None;
         // Eval-only padded-length clamp (see the doc comment): run at
         // the longest valid prefix instead of the caller's padding.
-        let mut run_seq = seq;
-        let mut gathered: Vec<usize> = Vec::new();
-        if !train && batch > 0 {
-            let m = valid.iter().copied().max().unwrap_or(seq).clamp(1, seq.max(1));
-            if m < seq {
-                run_seq = m;
-                if batch > 1 {
-                    gathered.reserve(batch * m);
-                    for b in 0..batch {
-                        gathered.extend_from_slice(&ids[b * seq..b * seq + m]);
-                    }
-                }
-            }
-        }
-        let run_ids: &[usize] = if run_seq == seq {
-            ids
-        } else if batch > 1 {
-            &gathered
+        let run_seq = valid.iter().copied().max().unwrap_or(seq).clamp(1, seq.max(1));
+        if run_seq == seq || batch <= 1 {
+            self.encoder.forward_cls(&ids[..batch * run_seq], valid, run_seq)
         } else {
-            &ids[..run_seq]
-        };
-        let h = self.encoder.forward_seq(run_ids, valid, run_seq, train);
-        let d_model = self.config().d_model;
-        let mut cls = Tensor::zeros(&[batch, d_model]);
-        for b in 0..batch {
-            cls.row_mut(b).copy_from_slice(h.row(b * run_seq));
+            let gathered: Vec<usize> =
+                ids.chunks(seq).flat_map(|row| &row[..run_seq]).copied().collect();
+            self.encoder.forward_cls(&gathered, valid, run_seq)
         }
-        self.cache = Some((batch, run_seq));
-        cls
     }
 
     /// Backward from CLS gradients (`[batch, d_model]`) into every
@@ -251,7 +242,8 @@ impl Trunk {
         self.encoder.backward(&dh);
     }
 
-    /// Drops the forward cache (eval-mode forwards that skip backward).
+    /// Drops the forward cache (train forwards that skip backward; eval
+    /// forwards leave none).
     pub fn clear_cache(&mut self) {
         self.cache = None;
     }
@@ -426,6 +418,20 @@ mod tests {
         let again = trunk.forward_cls(&ids, &[5, 7, 9], cfg.max_len, false);
         trunk.clear_cache();
         assert_eq!(cls, again);
+    }
+
+    #[test]
+    #[should_panic(expected = "Trunk backward before forward")]
+    fn eval_forward_leaves_nothing_for_backward() {
+        // A train forward arms backward; the eval forward after it holds
+        // no full-row state, so it must disarm backward again.
+        let cfg = ModelConfig::tiny(12);
+        let mut rng = SeededRng::new(4);
+        let mut trunk = Trunk::new(&cfg, &mut rng);
+        let ids: Vec<usize> = (0..2 * cfg.max_len).map(|i| i % 12).collect();
+        let _ = trunk.forward_cls(&ids, &[5, 7], cfg.max_len, true);
+        let cls = trunk.forward_cls(&ids, &[5, 7], cfg.max_len, false);
+        trunk.backward_cls(&Tensor::zeros(cls.shape()));
     }
 
     #[test]

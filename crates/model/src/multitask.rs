@@ -168,7 +168,6 @@ impl MultiTaskPragFormer {
     ) -> Vec<[f32; 3]> {
         self.gate_head_packing(false);
         let cls = self.trunk.forward_cls(ids, valid, seq, false);
-        self.trunk.clear_cache();
         let per_head: [Vec<f32>; 3] = Task::ALL.map(|t| {
             let logits = self.heads[t.index()].forward(&cls, false);
             loss::positive_probabilities(&logits)
@@ -187,7 +186,6 @@ impl MultiTaskPragFormer {
     ) -> Vec<f32> {
         self.gate_head_packing(false);
         let cls = self.trunk.forward_cls(ids, valid, seq, false);
-        self.trunk.clear_cache();
         let logits = self.heads[task.index()].forward(&cls, false);
         loss::positive_probabilities(&logits)
     }
@@ -230,7 +228,6 @@ impl MultiTaskPragFormer {
     ) -> (f32, usize) {
         self.gate_head_packing(false);
         let cls = self.trunk.forward_cls(ids, valid, seq, false);
-        self.trunk.clear_cache();
         let logits = self.heads[task.index()].forward(&cls, false);
         let (l, _) = loss::softmax_cross_entropy(&logits, labels);
         let probs = loss::positive_probabilities(&logits);

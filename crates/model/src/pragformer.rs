@@ -183,7 +183,6 @@ impl PragFormer {
     /// performance choices, never accuracy trade-offs.
     pub fn predict_proba_batch(&mut self, ids: &[usize], valid: &[usize], seq: usize) -> Vec<f32> {
         let logits = self.forward_seq(ids, valid, seq, false);
-        self.trunk.clear_cache();
         loss::positive_probabilities(&logits)
     }
 
@@ -259,7 +258,6 @@ mod tests {
         let mut model = PragFormer::new(&cfg, &mut rng);
         let (ids, valid, _) = toy_batch(&cfg, 4);
         let logits = model.forward(&ids, &valid, false);
-        model.trunk.clear_cache();
         assert_eq!(logits.shape(), &[4, 2]);
     }
 
@@ -284,7 +282,6 @@ mod tests {
         }
         let final_loss = {
             let logits = model.forward(&ids, &valid, false);
-            model.trunk.clear_cache();
             pragformer_tensor::loss::softmax_cross_entropy(&logits, &labels).0
         };
         assert!(final_loss < last * 0.5, "no learning: {last} -> {final_loss}");
