@@ -866,8 +866,7 @@ impl Collector {
         for sub in &subs_exprs {
             self.scan_expr(sub, false);
         }
-        let variant = self.variant.clone();
-        let subs = subs_exprs.iter().map(|s| normalize(s, &self.loop_var, &variant)).collect();
+        let subs = subs_exprs.iter().map(|s| normalize(s, &self.loop_var, &self.variant)).collect();
         self.events.push(Event::Array(ArrayAccess { name, subs, is_write }));
     }
 }

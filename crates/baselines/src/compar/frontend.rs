@@ -8,7 +8,7 @@
 //! by scanning the token stream for constructs outside the engine's
 //! grammar before analysis begins.
 
-use pragformer_cparse::lexer::{lex, Keyword, Punct, Token};
+use pragformer_cparse::lexer::{lex, Keyword, Punct, SpannedToken, Token};
 
 /// Front-end strictness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,12 +37,21 @@ fn is_unknown_typedef(name: &str) -> bool {
 }
 
 /// Checks a snippet against the strict grammar. `Ok(())` means the
-/// engine may proceed; `Err(reason)` is a parse failure.
+/// engine may proceed; `Err(reason)` is a parse failure. Lexes `source`
+/// and runs [`check_tokens`] on the result.
 pub fn check_frontend(source: &str, strictness: Strictness) -> Result<(), String> {
-    let tokens = match lex(source) {
-        Ok(t) => t,
-        Err(e) => return Err(format!("lex error: {e}")),
-    };
+    check_tokens(&lex_for_gate(source)?, strictness)
+}
+
+/// Lexes a snippet for the gate; a lex error is a parse failure in either
+/// strictness.
+pub(super) fn lex_for_gate(source: &str) -> Result<Vec<SpannedToken>, String> {
+    lex(source).map_err(|e| format!("lex error: {e}"))
+}
+
+/// The strict-grammar gate over an already-lexed snippet: the same
+/// verdicts and failure texts as [`check_frontend`] on its source.
+pub fn check_tokens(tokens: &[SpannedToken], strictness: Strictness) -> Result<(), String> {
     if strictness == Strictness::Lenient {
         return Ok(());
     }
@@ -112,54 +121,64 @@ pub fn check_frontend(source: &str, strictness: Strictness) -> Result<(), String
 mod tests {
     use super::*;
 
+    /// [`check_frontend`] on `src`, asserted equal to [`check_tokens`] on
+    /// its tokens whenever it lexes.
+    fn gate(src: &str, strictness: Strictness) -> Result<(), String> {
+        let verdict = check_frontend(src, strictness);
+        if let Ok(tokens) = lex(src) {
+            assert_eq!(check_tokens(&tokens, strictness), verdict, "{src:?}");
+        }
+        verdict
+    }
+
     #[test]
     fn accepts_plain_loops() {
-        assert!(check_frontend("for (i = 0; i < n; i++) a[i] = i;", Strictness::Strict).is_ok());
+        assert!(gate("for (i = 0; i < n; i++) a[i] = i;", Strictness::Strict).is_ok());
     }
 
     #[test]
     fn rejects_register() {
         let src = "register int i;";
-        let err = check_frontend(src, Strictness::Strict).unwrap_err();
+        let err = gate(src, Strictness::Strict).unwrap_err();
         assert!(err.contains("register"), "{err}");
-        assert!(check_frontend(src, Strictness::Lenient).is_ok());
+        assert!(gate(src, Strictness::Lenient).is_ok());
     }
 
     #[test]
     fn rejects_struct_operations() {
         for src in ["p->next = q;", "image.width = 3;"] {
-            assert!(check_frontend(src, Strictness::Strict).is_err(), "{src}");
+            assert!(gate(src, Strictness::Strict).is_err(), "{src}");
         }
     }
 
     #[test]
     fn float_literals_do_not_trip_the_dot_rule() {
-        assert!(check_frontend("x = 3.5 + 0.25;", Strictness::Strict).is_ok());
+        assert!(gate("x = 3.5 + 0.25;", Strictness::Strict).is_ok());
     }
 
     #[test]
     fn rejects_unknown_typedef_casts() {
-        let err = check_frontend("n = (ssize_t) m;", Strictness::Strict).unwrap_err();
+        let err = gate("n = (ssize_t) m;", Strictness::Strict).unwrap_err();
         assert!(err.contains("ssize_t"), "{err}");
-        let err = check_frontend("IndexPacket p;", Strictness::Strict).unwrap_err();
+        let err = gate("IndexPacket p;", Strictness::Strict).unwrap_err();
         assert!(err.contains("IndexPacket"), "{err}");
     }
 
     #[test]
     fn size_t_is_known() {
-        assert!(check_frontend("n = (size_t) m;", Strictness::Strict).is_ok());
+        assert!(gate("n = (size_t) m;", Strictness::Strict).is_ok());
     }
 
     #[test]
     fn function_like_macros_are_rejected() {
         let src = "for (i = 0; i < POLYBENCH_LOOP_BOUND(4000, n); i++) a[i] = i;";
-        let err = check_frontend(src, Strictness::Strict).unwrap_err();
+        let err = gate(src, Strictness::Strict).unwrap_err();
         assert!(err.contains("POLYBENCH_LOOP_BOUND"), "{err}");
-        assert!(check_frontend(src, Strictness::Lenient).is_ok());
+        assert!(gate(src, Strictness::Lenient).is_ok());
         // Ordinary calls are fine; so are ALL-CAPS identifiers not
         // followed by parentheses (plain object-like macro constants).
-        assert!(check_frontend("y = sqrt(x);", Strictness::Strict).is_ok());
-        assert!(check_frontend("n = MAXGRID + 1;", Strictness::Strict).is_ok());
+        assert!(gate("y = sqrt(x);", Strictness::Strict).is_ok());
+        assert!(gate("n = MAXGRID + 1;", Strictness::Strict).is_ok());
     }
 
     #[test]
@@ -167,12 +186,12 @@ mod tests {
         // `foo bar` would be an unknown-typedef declaration only if `foo`
         // looks typedef-ish; plain words pass the gate (and fail later in
         // the real parser if malformed).
-        assert!(check_frontend("result value;", Strictness::Strict).is_ok());
+        assert!(gate("result value;", Strictness::Strict).is_ok());
     }
 
     #[test]
     fn lex_errors_are_parse_failures_in_both_modes() {
-        assert!(check_frontend("\"unterminated", Strictness::Strict).is_err());
-        assert!(check_frontend("\"unterminated", Strictness::Lenient).is_err());
+        assert!(gate("\"unterminated", Strictness::Strict).is_err());
+        assert!(gate("\"unterminated", Strictness::Lenient).is_err());
     }
 }

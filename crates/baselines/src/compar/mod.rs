@@ -10,10 +10,10 @@ mod analysis;
 mod frontend;
 
 pub use analysis::{analyze_loop, LoopAnalysis};
-pub use frontend::{check_frontend, Strictness};
+pub use frontend::{check_frontend, check_tokens, Strictness};
 
 use pragformer_cparse::omp::{OmpClause, OmpDirective};
-use pragformer_cparse::{parse_snippet, Stmt};
+use pragformer_cparse::{parse_tokens, Stmt};
 
 /// Why a loop was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -106,16 +106,19 @@ impl ComparResult {
 /// loop body; mirrors Cetus profitability heuristics the paper observed).
 pub const MIN_PROFITABLE_TRIP: i64 = 16;
 
-/// Runs the engine on a C snippet.
+/// Runs the engine on a C snippet: one lex, the [`check_tokens`] gate and
+/// one parse of the same tokens, then [`analyze_stmts`]. A caller that has
+/// already lexed and parsed the snippet gets the same result from
+/// [`check_tokens`] followed by [`analyze_stmts`].
 pub fn analyze_snippet(source: &str, strictness: Strictness) -> ComparResult {
-    if let Err(reason) = check_frontend(source, strictness) {
-        return ComparResult::ParseFailure(reason);
+    let gated = frontend::lex_for_gate(source).and_then(|tokens| {
+        check_tokens(&tokens, strictness)?;
+        parse_tokens(&tokens).map_err(|e| e.to_string())
+    });
+    match gated {
+        Ok(stmts) => analyze_stmts(&stmts),
+        Err(reason) => ComparResult::ParseFailure(reason),
     }
-    let stmts = match parse_snippet(source) {
-        Ok(s) => s,
-        Err(e) => return ComparResult::ParseFailure(e.to_string()),
-    };
-    analyze_stmts(&stmts)
 }
 
 /// Runs the engine on pre-parsed statements (skipping the front-end

@@ -17,4 +17,4 @@ pub mod bow;
 pub mod compar;
 
 pub use bow::{BowModel, BowTrainConfig};
-pub use compar::{analyze_snippet, ComparResult, Reason, Strictness};
+pub use compar::{analyze_snippet, check_tokens, ComparResult, Reason, Strictness};

@@ -33,10 +33,11 @@
 
 use crate::encode::encode_dataset;
 use crate::scale::Scale;
-use pragformer_baselines::{analyze_snippet, ComparResult, Strictness};
+use pragformer_baselines::compar::analyze_stmts;
+use pragformer_baselines::{check_tokens, ComparResult, Strictness};
 use pragformer_corpus::{generate, ClauseKind, Database, Dataset};
 use pragformer_cparse::omp::{OmpClause, OmpDirective};
-use pragformer_cparse::{parse_snippet, ParseError};
+use pragformer_cparse::{lex, parse_tokens, ParseError};
 use pragformer_model::multitask::{self, MultiTaskConfig, MultiTaskExample, Task};
 use pragformer_model::trainer::Trainer;
 use pragformer_model::{MultiTaskPragFormer, PragFormer, TrunkWeightBytes};
@@ -44,7 +45,7 @@ use pragformer_obs as obs;
 use pragformer_tensor::init::SeededRng;
 use pragformer_tensor::kernel::KernelTier;
 use pragformer_tensor::parallel::par_map_indexed;
-use pragformer_tokenize::{tokens_for, Representation, Vocab};
+use pragformer_tokenize::{encode_text, tokens_for, Representation, Vocab};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -612,11 +613,27 @@ impl Advisor {
 
     /// The front-end for one snippet: parse, tokenize, encode, and run
     /// the S2S dependence analysis. No model weights are touched.
+    ///
+    /// The source is lexed once and those tokens are parsed once. The
+    /// ComPar strict gate ([`check_tokens`]) reads the same token slice
+    /// and ComPar's analysis ([`analyze_stmts`]) runs on the same AST, so
+    /// `compar` equals [`analyze_snippet`] on the source. The model ids
+    /// come from printing that AST once, lexing the printed text once and
+    /// looking each token up by borrowed text ([`encode_text`]), so they
+    /// equal encoding [`tokens_for`]'s Text tokens. A lex or parse error
+    /// is the same [`ParseError`] [`parse_snippet`] reports.
+    ///
+    /// [`analyze_snippet`]: pragformer_baselines::analyze_snippet
+    /// [`tokens_for`]: pragformer_tokenize::tokens_for
+    /// [`parse_snippet`]: pragformer_cparse::parse_snippet
     pub fn prepare(&self, source: &str) -> Result<PreparedSnippet, ParseError> {
-        let stmts = parse_snippet(source)?;
-        let tokens = tokens_for(&stmts, Representation::Text);
-        let (ids, valid) = self.vocab.encode(&tokens, self.max_len);
-        let compar = analyze_snippet(source, Strictness::Strict);
+        let tokens = lex(source)?;
+        let stmts = parse_tokens(&tokens)?;
+        let compar = match check_tokens(&tokens, Strictness::Strict) {
+            Ok(()) => analyze_stmts(&stmts),
+            Err(reason) => ComparResult::ParseFailure(reason),
+        };
+        let (ids, valid) = encode_text(&stmts, &self.vocab, self.max_len);
         Ok(PreparedSnippet { ids, valid, compar })
     }
 
@@ -817,6 +834,11 @@ impl Advisor {
     /// The tokenizer vocabulary size (for reports).
     pub fn vocab_size(&self) -> usize {
         self.vocab.len()
+    }
+
+    /// The tokenizer vocabulary [`Advisor::prepare`] encodes with.
+    pub fn vocab(&self) -> &Vocab {
+        &self.vocab
     }
 
     /// Probability that a *token sequence* needs a directive — the

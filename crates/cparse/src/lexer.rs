@@ -412,18 +412,14 @@ pub fn lex(src: &str) -> Result<Vec<SpannedToken>, LexError> {
 fn lex_one(cur: &mut Cursor) -> Result<Token, LexError> {
     let c = cur.peek().expect("lex_one on empty input");
     if c.is_ascii_alphabetic() || c == b'_' {
-        let mut s = String::new();
-        while let Some(c) = cur.peek() {
-            if c.is_ascii_alphanumeric() || c == b'_' {
-                s.push(c as char);
-                cur.bump();
-            } else {
-                break;
-            }
+        let start = cur.pos;
+        while cur.peek().is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_') {
+            cur.bump();
         }
-        return Ok(match Keyword::from_str(&s) {
+        let word = std::str::from_utf8(&cur.src[start..cur.pos]).expect("ASCII word");
+        return Ok(match Keyword::from_str(word) {
             Some(k) => Token::Keyword(k),
-            None => Token::Ident(s),
+            None => Token::Ident(word.to_string()),
         });
     }
     if c.is_ascii_digit() || (c == b'.' && cur.peek2().is_some_and(|d| d.is_ascii_digit())) {

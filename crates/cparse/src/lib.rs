@@ -16,7 +16,11 @@
 //!
 //! * [`lex`] — token stream with source positions;
 //! * [`parse_translation_unit`] — whole files (functions + globals);
-//! * [`parse_snippet`] — statement lists, the shape of Open-OMP records;
+//! * [`parse_snippet`] — statement lists, the shape of Open-OMP records
+//!   ([`lex`] followed by [`parse_tokens`]);
+//! * [`parse_tokens`] — statement lists from an already-lexed token slice,
+//!   for callers that read the same tokens for something else too (the
+//!   advisor lexes a snippet once for the parser and the ComPar gate);
 //! * [`omp::OmpDirective::parse`] — OpenMP pragma lines;
 //! * [`dfs::serialize_stmts`] — pycparser-style DFS token stream;
 //! * [`printer`] — AST → C source (used by the corpus generator, so the
@@ -42,7 +46,7 @@ pub mod printer;
 
 pub use ast::*;
 pub use lexer::{lex, LexError, SpannedToken, Token};
-pub use parser::{parse_snippet, parse_translation_unit, ParseError, MAX_NESTING};
+pub use parser::{parse_snippet, parse_tokens, parse_translation_unit, ParseError, MAX_NESTING};
 
 /// Result of parsing: either value or positioned error.
 pub type ParseResult<T> = Result<T, ParseError>;

@@ -78,7 +78,7 @@ impl From<crate::lexer::LexError> for ParseError {
 /// Parses a full file: function definitions and global declarations.
 pub fn parse_translation_unit(src: &str) -> Result<TranslationUnit, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser::new(tokens);
+    let mut p = Parser::new(&tokens);
     let mut items = Vec::new();
     while !p.at_end() {
         items.push(p.item()?);
@@ -87,9 +87,16 @@ pub fn parse_translation_unit(src: &str) -> Result<TranslationUnit, ParseError> 
 }
 
 /// Parses a statement list — the shape of an Open-OMP record (a loop nest
-/// possibly preceded by declarations and a pragma).
+/// possibly preceded by declarations and a pragma). Lexes `src`, then
+/// [`parse_tokens`].
 pub fn parse_snippet(src: &str) -> Result<Vec<Stmt>, ParseError> {
-    let tokens = lex(src)?;
+    parse_tokens(&lex(src)?)
+}
+
+/// Parses an already-lexed statement list. A caller that also needs the
+/// tokens (a front-end gate over the same snippet) lexes once and passes
+/// the slice to both.
+pub fn parse_tokens(tokens: &[SpannedToken]) -> Result<Vec<Stmt>, ParseError> {
     let mut p = Parser::new(tokens);
     let mut stmts = Vec::new();
     while !p.at_end() {
@@ -98,15 +105,15 @@ pub fn parse_snippet(src: &str) -> Result<Vec<Stmt>, ParseError> {
     Ok(stmts)
 }
 
-struct Parser {
-    toks: Vec<SpannedToken>,
+struct Parser<'a> {
+    toks: &'a [SpannedToken],
     pos: usize,
     /// Current nesting level, bounded by [`MAX_NESTING`].
     depth: usize,
 }
 
-impl Parser {
-    fn new(toks: Vec<SpannedToken>) -> Self {
+impl<'a> Parser<'a> {
+    fn new(toks: &'a [SpannedToken]) -> Self {
         Self { toks, pos: 0, depth: 0 }
     }
 
@@ -122,8 +129,8 @@ impl Parser {
         self.toks.get(self.pos + offset).map(|t| &t.tok)
     }
 
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.toks.get(self.pos).map(|t| t.tok.clone());
+    fn bump(&mut self) -> Option<&'a Token> {
+        let t = self.toks.get(self.pos).map(|t| &t.tok);
         if t.is_some() {
             self.pos += 1;
         }
@@ -262,7 +269,7 @@ impl Parser {
                         Keyword::Struct | Keyword::Union | Keyword::Enum => {
                             self.bump();
                             let name = match self.bump() {
-                                Some(Token::Ident(n)) => n,
+                                Some(Token::Ident(n)) => n.clone(),
                                 other => {
                                     return Err(self.err(format!(
                                         "expected struct/union/enum tag, found {other:?}"
@@ -314,7 +321,7 @@ impl Parser {
             while self.eat_keyword(Keyword::Const) || self.eat_keyword(Keyword::Restrict) {}
         }
         let name = match self.bump() {
-            Some(Token::Ident(n)) => n,
+            Some(Token::Ident(n)) => n.clone(),
             other => return Err(self.err(format!("expected declarator name, found {other:?}"))),
         };
         let mut array_dims = Vec::new();
@@ -377,7 +384,7 @@ impl Parser {
                 ret.pointers += 1;
             }
             let name = match self.bump() {
-                Some(Token::Ident(n)) => n,
+                Some(Token::Ident(n)) => n.clone(),
                 _ => unreachable!("probed an identifier"),
             };
             self.expect_punct(Punct::LParen)?;
@@ -401,7 +408,7 @@ impl Parser {
                     }
                     let pname = match self.peek() {
                         Some(Token::Ident(_)) => match self.bump() {
-                            Some(Token::Ident(n)) => n,
+                            Some(Token::Ident(n)) => n.clone(),
                             _ => unreachable!(),
                         },
                         _ => String::new(),
@@ -467,7 +474,7 @@ impl Parser {
                     _ => unreachable!(),
                 };
                 let directive =
-                    OmpDirective::parse(&raw).map_err(|e| self.err(format!("in pragma: {e}")))?;
+                    OmpDirective::parse(raw).map_err(|e| self.err(format!("in pragma: {e}")))?;
                 let stmt = self.statement()?;
                 Ok(Stmt::Pragma { directive, stmt: Box::new(stmt) })
             }
@@ -760,7 +767,7 @@ impl Parser {
                 Some(Token::Punct(Punct::Dot)) => {
                     self.bump();
                     let field = match self.bump() {
-                        Some(Token::Ident(n)) => n,
+                        Some(Token::Ident(n)) => n.clone(),
                         other => return Err(self.err(format!("expected field, found {other:?}"))),
                     };
                     e = Expr::Member { base: Box::new(e), field, arrow: false };
@@ -768,7 +775,7 @@ impl Parser {
                 Some(Token::Punct(Punct::Arrow)) => {
                     self.bump();
                     let field = match self.bump() {
-                        Some(Token::Ident(n)) => n,
+                        Some(Token::Ident(n)) => n.clone(),
                         other => return Err(self.err(format!("expected field, found {other:?}"))),
                     };
                     e = Expr::Member { base: Box::new(e), field, arrow: true };
@@ -792,11 +799,11 @@ impl Parser {
 
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
         match self.bump() {
-            Some(Token::Ident(n)) => Ok(Expr::Id(n)),
-            Some(Token::IntLit(v, text)) => Ok(Expr::IntLit(v, text)),
-            Some(Token::FloatLit(v, text)) => Ok(Expr::FloatLit(v, text)),
-            Some(Token::CharLit(c)) => Ok(Expr::CharLit(c)),
-            Some(Token::StrLit(s)) => Ok(Expr::StrLit(s)),
+            Some(Token::Ident(n)) => Ok(Expr::Id(n.clone())),
+            Some(Token::IntLit(v, text)) => Ok(Expr::IntLit(*v, text.clone())),
+            Some(Token::FloatLit(v, text)) => Ok(Expr::FloatLit(*v, text.clone())),
+            Some(Token::CharLit(c)) => Ok(Expr::CharLit(*c)),
+            Some(Token::StrLit(s)) => Ok(Expr::StrLit(s.clone())),
             Some(Token::Punct(Punct::LParen)) => {
                 let e = self.expression()?;
                 self.expect_punct(Punct::RParen)?;

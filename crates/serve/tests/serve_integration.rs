@@ -319,6 +319,45 @@ fn tcp_pipelined_requests_answer_in_order() {
     let _ = server.shutdown();
 }
 
+/// A snippet with a `#pragma omp` line inside a loop body gets advice over
+/// TCP, and the server keeps answering: the next, ordinary request on the
+/// same connection gets advice too.
+#[test]
+fn tcp_nested_pragma_request_keeps_the_server_up() {
+    let advisor = Advisor::untrained(Scale::Tiny, 21);
+    let server = AdvisorServer::start(
+        advisor,
+        ServeConfig { deadline: Duration::from_millis(1), ..ServeConfig::default() },
+    );
+    let tcp = TcpServer::bind("127.0.0.1:0", server.client(), 2).expect("bind loopback");
+
+    let stream = TcpStream::connect(tcp.local_addr()).expect("connect");
+    // A dead collector must fail this test, not hang it.
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let nested = "for (i = 0; i < n; i++) {\n#pragma omp parallel for\nfor (j = 0; j < m; j++) a[i][j] = 0;\n}";
+    let ordinary = "for (i = 0; i < n; i++) a[i] = b[i] + c[i];";
+    for (id, code) in [(41u64, nested), (42, ordinary)] {
+        let line = format!(
+            "{{\"id\": {id}, \"code\": \"{}\"}}\n",
+            pragformer_serve::wire::escape_json(code)
+        );
+        writer.write_all(line.as_bytes()).unwrap();
+        writer.flush().unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read response");
+        let resp = pragformer_serve::wire::parse_response(&line).expect("parse response");
+        assert_eq!(resp.id, id);
+        assert!(resp.ok, "request {id} must get advice: {:?}", resp.error);
+    }
+
+    drop(writer);
+    drop(reader);
+    tcp.shutdown();
+    let _ = server.shutdown();
+}
+
 /// Two TCP connections served concurrently share the scheduler: batches
 /// (and the cache) form across connections.
 #[test]

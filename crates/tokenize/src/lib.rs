@@ -11,7 +11,7 @@
 //! OOV semantics the paper measures in Table 7 ("OOV types").
 //!
 //! ```
-//! use pragformer_tokenize::{tokens_for, Representation, Vocab};
+//! use pragformer_tokenize::{encode_text, tokens_for, Representation, Vocab};
 //! use pragformer_cparse::parse_snippet;
 //! let stmts = parse_snippet("for (i = 0; i < len; i++) a[i] = i;").unwrap();
 //! let text = tokens_for(&stmts, Representation::Text);
@@ -22,6 +22,8 @@
 //! let (ids, len) = vocab.encode(&text, 32);
 //! assert_eq!(ids.len(), 32);
 //! assert!(len > 0);
+//! // The advisor's path: the same ids, looked up by borrowed text.
+//! assert_eq!(encode_text(&stmts, &vocab, 32), (ids, len));
 //! ```
 
 pub mod replace;
@@ -30,6 +32,6 @@ pub mod stats;
 pub mod vocab;
 
 pub use replace::rename_identifiers;
-pub use repr::{tokens_for, Representation};
+pub use repr::{encode_text, tokens_for, Representation};
 pub use stats::{corpus_stats, ReprStats};
 pub use vocab::Vocab;

@@ -8,12 +8,23 @@
 //! | `ReplacedAst`  | DFS of the AST | yes |
 //!
 //! All four are produced from the parsed AST so the pipeline has a single
-//! source of truth. Any `#pragma omp` nodes are stripped first — the
-//! directive is the *label*, never part of the model input.
+//! source of truth. The Text variants are the lexical tokens of the
+//! printer's output ([`print_stmts`]), so printer output remains the
+//! definition of Text. `#pragma omp` directives are the *label*, never
+//! part of the model input: the Text variants drop every
+//! [`Token::OmpPragma`] of the re-lexed output and the AST variants drop
+//! every `Pragma:` marker, at every nesting depth. The AST is never
+//! copied to strip them.
+//!
+//! [`encode_text`] is the advisor's path to model ids: the same Text
+//! tokens as [`tokens_for`], through the same token-to-text mapping,
+//! looked up in the vocabulary by borrowed text.
 
 use crate::replace::rename_identifiers;
+use crate::vocab::Vocab;
 use pragformer_cparse::printer::print_stmts;
-use pragformer_cparse::{dfs, lex, Stmt, Token};
+use pragformer_cparse::{dfs, lex, SpannedToken, Stmt, Token};
+use std::borrow::Cow;
 
 /// Input representation fed to the tokenizer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -53,62 +64,63 @@ impl Representation {
     }
 }
 
-/// Removes pragma wrappers (the label must not leak into the input).
-fn strip_pragmas(stmts: &[Stmt]) -> Vec<Stmt> {
-    stmts
-        .iter()
-        .map(|s| match s {
-            Stmt::Pragma { stmt, .. } => (**stmt).clone(),
-            other => other.clone(),
-        })
-        .collect()
-}
-
 /// Renders a snippet into the token sequence for the given representation.
 pub fn tokens_for(stmts: &[Stmt], repr: Representation) -> Vec<String> {
-    let clean = strip_pragmas(stmts);
-    let subject = if repr.is_replaced() { rename_identifiers(&clean).0 } else { clean };
+    let renamed;
+    let subject = if repr.is_replaced() {
+        renamed = rename_identifiers(stmts).0;
+        &renamed
+    } else {
+        stmts
+    };
     match repr {
-        Representation::Text | Representation::ReplacedText => lexical_tokens(&subject),
-        Representation::Ast | Representation::ReplacedAst => ast_tokens(&subject),
+        Representation::Text | Representation::ReplacedText => {
+            printed_tokens(subject).iter().filter_map(text_token).map(Cow::into_owned).collect()
+        }
+        Representation::Ast | Representation::ReplacedAst => ast_tokens(subject),
     }
 }
 
-/// C lexical tokens of the printed snippet. String literals collapse to a
-/// single `"<str>"`-style token (their exact content is rarely predictive
-/// and would blow up the vocabulary); numbers keep their source text.
-fn lexical_tokens(stmts: &[Stmt]) -> Vec<String> {
-    let source = print_stmts(stmts);
-    let spanned = lex(&source).expect("printer output must re-lex");
-    spanned
-        .into_iter()
-        .map(|s| match s.tok {
-            Token::Ident(name) => name,
-            Token::Keyword(k) => k.as_str().to_string(),
-            Token::IntLit(_, text) => text,
-            Token::FloatLit(_, text) => text,
-            Token::CharLit(c) => format!("'{c}'"),
-            Token::StrLit(content) => {
-                // Keep format-string-ish flavor: one token per literal,
-                // bucketed by whether it looks like a format string.
-                if content.contains('%') {
-                    "\"<fmt>\"".to_string()
-                } else {
-                    "\"<str>\"".to_string()
-                }
-            }
-            Token::Punct(p) => p.as_str().to_string(),
-            Token::OmpPragma(_) => unreachable!("pragmas are stripped before rendering"),
-        })
-        .collect()
+/// `vocab.encode(&tokens_for(stmts, Representation::Text), max_len)`,
+/// without allocating a `String` per token.
+pub fn encode_text(stmts: &[Stmt], vocab: &Vocab, max_len: usize) -> (Vec<usize>, usize) {
+    let printed = printed_tokens(stmts);
+    let tokens: Vec<Cow<'_, str>> = printed.iter().filter_map(text_token).collect();
+    vocab.encode(&tokens, max_len)
+}
+
+/// C lexical tokens of the printed snippet.
+fn printed_tokens(stmts: &[Stmt]) -> Vec<SpannedToken> {
+    lex(&print_stmts(stmts)).expect("printer output must re-lex")
+}
+
+/// The Text token of one printed token; `None` for a pragma line. String
+/// literals collapse to a single `"<str>"`-style token (their exact
+/// content is rarely predictive and would blow up the vocabulary);
+/// numbers keep their source text.
+fn text_token(spanned: &SpannedToken) -> Option<Cow<'_, str>> {
+    Some(match &spanned.tok {
+        Token::Ident(name) => Cow::Borrowed(name.as_str()),
+        Token::Keyword(k) => Cow::Borrowed(k.as_str()),
+        Token::IntLit(_, text) | Token::FloatLit(_, text) => Cow::Borrowed(text.as_str()),
+        Token::CharLit(c) => Cow::Owned(format!("'{c}'")),
+        // Keep format-string-ish flavor: one token per literal, bucketed
+        // by whether it looks like a format string.
+        Token::StrLit(content) if content.contains('%') => Cow::Borrowed("\"<fmt>\""),
+        Token::StrLit(_) => Cow::Borrowed("\"<str>\""),
+        Token::Punct(p) => Cow::Borrowed(p.as_str()),
+        Token::OmpPragma(_) => return None,
+    })
 }
 
 /// AST DFS labels split into whitespace-delimited sub-tokens, e.g.
-/// `"Assignment: ="` → `["Assignment:", "="]`.
+/// `"Assignment: ="` → `["Assignment:", "="]`. `Pragma:` markers are
+/// dropped.
 fn ast_tokens(stmts: &[Stmt]) -> Vec<String> {
     dfs::serialize_stmts(stmts)
         .iter()
-        .flat_map(|label| label.split_whitespace().map(str::to_string).collect::<Vec<_>>())
+        .filter(|label| label.as_str() != "Pragma:")
+        .flat_map(|label| label.split_whitespace().map(str::to_string))
         .collect()
 }
 
@@ -169,17 +181,29 @@ mod tests {
 
     #[test]
     fn pragma_never_leaks_into_any_representation() {
-        let stmts = parse_snippet(
-            "#pragma omp parallel for private(i) reduction(+: s)\nfor (i = 0; i < n; i++) s += a[i];",
-        )
-        .unwrap();
+        let top = "#pragma omp parallel for private(i) reduction(+: s)\nfor (i = 0; i < n; i++) s += a[i];";
+        let stmts = parse_snippet(top).unwrap();
         for repr in Representation::ALL {
             let toks = tokens_for(&stmts, repr);
             let joined = toks.join(" ");
-            assert!(!joined.contains("pragma"), "{repr:?}: {joined}");
+            assert!(!joined.to_lowercase().contains("pragma"), "{repr:?}: {joined}");
             assert!(!joined.contains("omp"), "{repr:?}: {joined}");
             assert!(!joined.contains("private"), "{repr:?}: {joined}");
             assert!(!joined.contains("reduction"), "{repr:?}: {joined}");
+        }
+        // At any depth, a directive leaves exactly the tokens of the code
+        // without it.
+        let nested = "for (j = 0; j < m; j++) {\n  #pragma omp parallel for reduction(+: s)\n  \
+                      for (i = 0; i < n; i++) s += a[i];\n}";
+        let pairs = [
+            (top, "for (i = 0; i < n; i++) s += a[i];"),
+            (nested, "for (j = 0; j < m; j++) { for (i = 0; i < n; i++) s += a[i]; }"),
+        ];
+        for (with, without) in pairs {
+            let (with, without) = (parse_snippet(with).unwrap(), parse_snippet(without).unwrap());
+            for repr in Representation::ALL {
+                assert_eq!(tokens_for(&with, repr), tokens_for(&without, repr), "{repr:?}");
+            }
         }
     }
 

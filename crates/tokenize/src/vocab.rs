@@ -78,13 +78,14 @@ impl Vocab {
 
     /// Encodes a token sequence as `<cls> t1 t2 … <pad>…` of exactly
     /// `max_len` ids. Returns `(ids, valid_len)` where `valid_len` counts
-    /// the non-pad prefix (including `<cls>`).
-    pub fn encode(&self, tokens: &[String], max_len: usize) -> (Vec<usize>, usize) {
+    /// the non-pad prefix (including `<cls>`). Tokens may be owned or
+    /// borrowed text.
+    pub fn encode<S: AsRef<str>>(&self, tokens: &[S], max_len: usize) -> (Vec<usize>, usize) {
         assert!(max_len >= 1, "max_len must fit at least <cls>");
         let mut ids = Vec::with_capacity(max_len);
         ids.push(special::CLS);
         for t in tokens.iter().take(max_len - 1) {
-            ids.push(self.id(t));
+            ids.push(self.id(t.as_ref()));
         }
         let valid = ids.len();
         ids.resize(max_len, special::PAD);
